@@ -111,7 +111,8 @@ func (c MembershipConfig) withDefaults() MembershipConfig {
 // pulls never double-count a worker's stream.
 //
 // Every Server carries a Membership (registration always works); the
-// loops only run after Start.
+// loops only run after Start. ProbeAll and PullAll work before Start
+// too, with the default MembershipConfig.
 type Membership struct {
 	srv *Server
 
@@ -119,13 +120,22 @@ type Membership struct {
 	members map[string]*member
 
 	loopMu sync.Mutex
-	cfg    MembershipConfig
+	cfg    MembershipConfig // resolved (withDefaults) from construction on
 	stop   chan struct{}
 	done   chan struct{}
 }
 
 func newMembership(srv *Server) *Membership {
-	return &Membership{srv: srv, members: make(map[string]*member)}
+	return &Membership{srv: srv, members: make(map[string]*member),
+		cfg: MembershipConfig{}.withDefaults()}
+}
+
+// config returns the current configuration. Start replaces it under
+// loopMu while other goroutines may be probing or pulling.
+func (m *Membership) config() MembershipConfig {
+	m.loopMu.Lock()
+	defer m.loopMu.Unlock()
+	return m.cfg
 }
 
 // Membership returns the server's worker registry.
@@ -170,7 +180,7 @@ func (m *Membership) Start(cfg MembershipConfig) {
 	m.cfg = cfg.withDefaults()
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
-	go m.run()
+	go m.run(m.cfg, m.stop, m.done)
 }
 
 // Stop halts the loops and waits for them to drain. Idempotent.
@@ -185,41 +195,45 @@ func (m *Membership) Stop() {
 	m.stop, m.done = nil, nil
 }
 
-func (m *Membership) run() {
-	defer close(m.done)
-	beat := time.NewTicker(m.cfg.Heartbeat)
+// run is the loop goroutine. It takes its configuration and channels as
+// arguments rather than reading them under loopMu, which Stop holds
+// while it waits for run to return.
+func (m *Membership) run(cfg MembershipConfig, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	beat := time.NewTicker(cfg.Heartbeat)
 	defer beat.Stop()
-	pull := time.NewTicker(m.cfg.PullEvery)
+	pull := time.NewTicker(cfg.PullEvery)
 	defer pull.Stop()
 	for {
 		select {
 		case <-beat.C:
-			m.ProbeAll()
+			m.probeAll(cfg)
 		case <-pull.C:
-			if err := m.PullAll(); err != nil {
-				m.cfg.Logf("membership: pull: %v", err)
+			if err := m.pullAll(cfg); err != nil {
+				cfg.Logf("membership: pull: %v", err)
 			}
-		case <-m.stop:
+		case <-stop:
 			return
 		}
 	}
 }
 
-// client returns a per-member client whose every request carries the
+// memberClient returns a per-member client whose every request carries the
 // configured deadline.
-func (m *Membership) client(addr string) *Client {
-	return NewClient(addr, &http.Client{Timeout: m.cfg.Timeout})
+func memberClient(addr string, cfg MembershipConfig) *Client {
+	return NewClient(addr, &http.Client{Timeout: cfg.Timeout})
 }
 
 // ProbeAll heartbeats every member once through the Spec-fingerprint
 // handshake and updates alive/miss state. A drifted worker (409) counts
 // as a miss like a dead one: its snapshots would be refused anyway, and
 // the log line says why.
-func (m *Membership) ProbeAll() {
-	cfg := m.cfg
+func (m *Membership) ProbeAll() { m.probeAll(m.config()) }
+
+func (m *Membership) probeAll(cfg MembershipConfig) {
 	for _, addr := range m.addrs() {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-		err := m.client(addr).CheckSpecContext(ctx, m.srv.fp)
+		err := memberClient(addr, cfg).CheckSpecContext(ctx, m.srv.fp)
 		cancel()
 		m.mu.Lock()
 		mem, ok := m.members[addr]
@@ -272,7 +286,9 @@ func (m *Membership) updateGauges() {
 // simply re-read. Down members contribute their last-known snapshot, so
 // a crashed worker's checkpointed stream prefix stays in the estimate
 // while it restarts.
-func (m *Membership) PullAll() (err error) {
+func (m *Membership) PullAll() error { return m.pullAll(m.config()) }
+
+func (m *Membership) pullAll(cfg MembershipConfig) (err error) {
 	defer func() {
 		if err != nil {
 			m.srv.obs.pullErr.Inc()
@@ -280,7 +296,6 @@ func (m *Membership) PullAll() (err error) {
 			m.srv.obs.pullOK.Inc()
 		}
 	}()
-	cfg := m.cfg
 	for _, addr := range m.addrs() {
 		m.mu.Lock()
 		mem, ok := m.members[addr]
@@ -289,7 +304,7 @@ func (m *Membership) PullAll() (err error) {
 		if !alive {
 			continue
 		}
-		snap, ingested, err := m.fetchSnapshot(addr)
+		snap, ingested, err := fetchSnapshot(addr, cfg)
 		m.mu.Lock()
 		if mem, ok := m.members[addr]; ok {
 			if err == nil {
@@ -337,13 +352,14 @@ func (m *Membership) PullAll() (err error) {
 // gsumd_aggregate_ingested_updates gauge. The config read is taken
 // BEFORE the snapshot, so the recorded total never exceeds what the
 // snapshot contains and the gauge stays a lower bound on aggregated
-// updates (and therefore monotone).
-func (m *Membership) fetchSnapshot(addr string) ([]byte, uint64, error) {
-	cfg := m.cfg
-	c := m.client(addr)
+// updates (and therefore monotone). It makes at least one attempt
+// whatever cfg.Retries says, so it can report success only for a
+// snapshot it actually fetched.
+func fetchSnapshot(addr string, cfg MembershipConfig) ([]byte, uint64, error) {
+	c := memberClient(addr, cfg)
 	var lastErr error
 	delay := cfg.Backoff
-	for attempt := 0; attempt < cfg.Retries; attempt++ {
+	for attempt := 0; attempt == 0 || attempt < cfg.Retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(delay)
 			delay *= 2

@@ -327,6 +327,68 @@ func TestPullKeepsDeadWorkersLastSnapshot(t *testing.T) {
 	}
 }
 
+// TestPullBeforeStart: ProbeAll and PullAll work on a coordinator whose
+// loops were never started, under the default MembershipConfig. A pull
+// must really fetch the worker's snapshot, so the coordinator's estimate
+// equals the worker's, and a Start racing with a pull must not tear the
+// configuration the pull reads.
+func TestPullBeforeStart(t *testing.T) {
+	spec := onePassSpec(11)
+	s := testStream(23)
+
+	worker, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wts := httptest.NewServer(worker.Handler())
+	t.Cleanup(wts.Close)
+	if err := NewClient(wts.URL, nil).Push(s.Updates()); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewServer(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(coord.Handler())
+	t.Cleanup(cts.Close)
+
+	m := coord.Membership()
+	if err := m.Add(wts.URL); err != nil {
+		t.Fatal(err)
+	}
+	m.ProbeAll()
+	if err := m.PullAll(); err != nil {
+		t.Fatalf("pull before Start: %v", err)
+	}
+	if mi := findMember(t, m.Members(), wts.URL); !mi.HasSnapshot || mi.LastPull.IsZero() {
+		t.Fatalf("member after pull: %+v", mi)
+	}
+	want, err := NewClient(wts.URL, nil).Estimate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewClient(cts.URL, nil).Estimate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got.Estimate != *want.Estimate {
+		t.Fatalf("coordinator estimate %.17g != worker estimate %.17g", *got.Estimate, *want.Estimate)
+	}
+	if serial := serialEstimator(t, spec, s).Estimate(); *got.Estimate != serial {
+		t.Fatalf("coordinator estimate %.17g != serial %.17g", *got.Estimate, serial)
+	}
+
+	// Start writes the configuration while a manual pull reads it.
+	done := make(chan error, 1)
+	go func() { done <- m.PullAll() }()
+	m.Start(MembershipConfig{Heartbeat: time.Hour, PullEvery: time.Hour,
+		Retries: 1, Timeout: 2 * time.Second, Logf: t.Logf})
+	t.Cleanup(m.Stop)
+	if err := <-done; err != nil {
+		t.Fatalf("pull racing Start: %v", err)
+	}
+}
+
 // TestMembershipLoopsEndToEnd drives the real tickers: a coordinator
 // with fast cadences converges to the serial estimate on its own, and
 // keeps converging as more traffic lands — no manual PullFrom anywhere.

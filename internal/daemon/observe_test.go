@@ -83,14 +83,6 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 	if v := mustValue(t, sc, "gsumd_ingest_updates_total", streamL); v != 256 {
 		t.Fatalf("stream updates = %v, want 256", v)
 	}
-	// Acks are durability receipts: after a clean Close every applied
-	// stream update has been acked — the soak harness's first invariant.
-	if acked := mustValue(t, sc, "gsumd_stream_acked_updates_total"); acked != 256 {
-		t.Fatalf("acked stream updates = %v, want 256", acked)
-	}
-	if frames := mustValue(t, sc, "gsumd_stream_acked_frames_total"); frames != 4 {
-		t.Fatalf("acked frames = %v, want 4 (256 updates at MaxBatch 64)", frames)
-	}
 	if v := mustValue(t, sc, "gsumd_ingested_updates"); v != 406 {
 		t.Fatalf("ingest counter gauge = %v, want 406", v)
 	}
@@ -109,6 +101,18 @@ func TestMetricsEndpointCountsIngest(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 		sc = scrape(t, c.Base())
+	}
+	// Acks are durability receipts: once the session quiesces every
+	// applied stream update has been acked — the soak harness's first
+	// invariant. The server counts an ack just after writing it, so the
+	// client can see its last ack before the count moves; the counts are
+	// final once the session loop has exited, so scrape afresh.
+	sc = scrape(t, c.Base())
+	if acked := mustValue(t, sc, "gsumd_stream_acked_updates_total"); acked != 256 {
+		t.Fatalf("acked stream updates = %v, want 256", acked)
+	}
+	if frames := mustValue(t, sc, "gsumd_stream_acked_frames_total"); frames != 4 {
+		t.Fatalf("acked frames = %v, want 4 (256 updates at MaxBatch 64)", frames)
 	}
 	if v := mustValue(t, sc, "gsumd_stream_connections_total"); v != 1 {
 		t.Fatalf("total stream connections = %v, want 1", v)

@@ -37,34 +37,49 @@ func (e Envelope) H() float64 {
 // grid. Values can be +Inf for functions with unbounded ratios (e.g. 2^x);
 // callers should treat non-finite envelopes as "no sub-polynomial sketch
 // exists at this scale".
+//
+// Cost: one LogEval per grid point plus O(G²) table lookups over the G
+// grid points. ln⌊y/x⌋ is read from a table of ln q for q ≤ G; only the
+// larger ratios of the geometric tail (m > 1024) call math.Log. The
+// result is bit-identical to evaluating g and the logarithm afresh for
+// every pair.
 func MeasureEnvelope(g Func, m uint64) Envelope {
 	grid := Grid(m, 1024)
+	lg := make([]float64, len(grid)) // ln g at each grid point
+	for i, x := range grid {
+		lg[i] = LogEval(g, x)
+	}
+	lnq := make([]float64, len(grid)+1) // ln q for every ratio q ≤ G
+	for q := range lnq {
+		lnq[q] = math.Log(float64(q))
+	}
 	var (
 		prefixMaxLog = math.Inf(-1) // running max of ln g(x), x < y
-		prefixMinLog = math.Inf(1)  // running min of ln g(x), x < y
 		drop         = 0.0          // max ln(g(x)/g(y))
 		jump         = 0.0          // max ln(g(y)/(⌊y/x⌋² g(x)))
 	)
 	// Drop needs only the prefix max. Jump needs a scan over x because of
 	// the ⌊y/x⌋² factor.
 	for i, y := range grid {
-		ly := LogEval(g, y)
+		ly := lg[i]
 		if i > 0 {
 			if d := prefixMaxLog - ly; d > drop {
 				drop = d
 			}
-			for _, x := range grid[:i] {
-				j := ly - LogEval(g, x) - 2*math.Log(float64(y/x))
-				if j > jump {
+			for k, x := range grid[:i] {
+				var lnRatio float64
+				if q := y / x; q < uint64(len(lnq)) {
+					lnRatio = lnq[q]
+				} else {
+					lnRatio = math.Log(float64(q))
+				}
+				if j := ly - lg[k] - 2*lnRatio; j > jump {
 					jump = j
 				}
 			}
 		}
 		if ly > prefixMaxLog {
 			prefixMaxLog = ly
-		}
-		if ly < prefixMinLog {
-			prefixMinLog = ly
 		}
 	}
 	return Envelope{Drop: math.Exp(drop), Jump: math.Exp(jump)}

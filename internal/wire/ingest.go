@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -128,16 +130,20 @@ func ReadFrame(r io.Reader, maxBytes int) ([]byte, error) {
 }
 
 // AppendIngestFrame serializes one ingest frame payload (header, seq,
-// batch) — the bytes to hand WriteFrame.
+// batch) — the bytes to hand WriteFrame. The payload is allocated once,
+// at its exact size: the 14-byte header, the 8-byte seq, the 4-byte
+// count and 16 bytes per update.
 func AppendIngestFrame(fingerprint, seq uint64, updates []stream.Update) []byte {
-	var w Writer
+	w := Writer{buf: *bytes.NewBuffer(make([]byte, 0, 26+16*len(updates)))}
 	w.Header(IngestFrameMagic, fingerprint)
 	w.U64(seq)
 	w.U32(uint32(len(updates)))
+	b := w.buf.AvailableBuffer()
 	for _, u := range updates {
-		w.U64(u.Item)
-		w.I64(u.Delta)
+		b = binary.BigEndian.AppendUint64(b, u.Item)
+		b = binary.BigEndian.AppendUint64(b, uint64(u.Delta))
 	}
+	w.buf.Write(b)
 	return w.Bytes()
 }
 

@@ -40,6 +40,25 @@ func TestIngestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendIngestFrameAllocatesOnce: encoding a full-size frame costs
+// exactly its payload buffer, sized up front to 26 + 16n bytes.
+func TestAppendIngestFrameAllocatesOnce(t *testing.T) {
+	batch := make([]stream.Update, 4096)
+	for i := range batch {
+		batch[i] = stream.Update{Item: uint64(i) * 0x9e3779b97f4a7c15, Delta: int64(i%7) - 3}
+	}
+	var payload []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		payload = AppendIngestFrame(testFP, 9, batch)
+	})
+	if allocs > 1 {
+		t.Errorf("AppendIngestFrame of %d updates: %v allocations, want at most 1", len(batch), allocs)
+	}
+	if want := 26 + 16*len(batch); len(payload) != want || cap(payload) != want {
+		t.Errorf("payload len %d cap %d, want both %d", len(payload), cap(payload), want)
+	}
+}
+
 func TestIngestFrameEmptyBatch(t *testing.T) {
 	payload := AppendIngestFrame(testFP, 1, nil)
 	seq, got, err := UnmarshalIngestFrame(payload, testFP)

@@ -39,7 +39,9 @@ func FingerprintString(h uint64, s string) uint64 {
 }
 
 // Writer accumulates a wire payload. The zero value is ready to use;
-// writes cannot fail (bytes.Buffer panics only on OOM).
+// writes cannot fail (bytes.Buffer panics only on OOM). Fields are
+// appended big-endian into the buffer's spare capacity, so a write
+// allocates only when the buffer must grow.
 type Writer struct {
 	buf bytes.Buffer
 }
@@ -52,16 +54,22 @@ func (w *Writer) Header(magic uint32, fingerprint uint64) {
 }
 
 // U16 appends a big-endian uint16.
-func (w *Writer) U16(v uint16) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) U16(v uint16) {
+	w.buf.Write(binary.BigEndian.AppendUint16(w.buf.AvailableBuffer(), v))
+}
 
 // U32 appends a big-endian uint32.
-func (w *Writer) U32(v uint32) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) U32(v uint32) {
+	w.buf.Write(binary.BigEndian.AppendUint32(w.buf.AvailableBuffer(), v))
+}
 
 // U64 appends a big-endian uint64.
-func (w *Writer) U64(v uint64) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) U64(v uint64) {
+	w.buf.Write(binary.BigEndian.AppendUint64(w.buf.AvailableBuffer(), v))
+}
 
 // I64 appends a big-endian int64.
-func (w *Writer) I64(v int64) { _ = binary.Write(&w.buf, binary.BigEndian, v) }
+func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // F64 appends a float64 by bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -69,13 +77,23 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // I64s appends a u32 count followed by the values.
 func (w *Writer) I64s(vs []int64) {
 	w.U32(uint32(len(vs)))
-	_ = binary.Write(&w.buf, binary.BigEndian, vs)
+	w.buf.Grow(8 * len(vs))
+	b := w.buf.AvailableBuffer()
+	for _, v := range vs {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
+	w.buf.Write(b)
 }
 
 // U64s appends a u32 count followed by the values.
 func (w *Writer) U64s(vs []uint64) {
 	w.U32(uint32(len(vs)))
-	_ = binary.Write(&w.buf, binary.BigEndian, vs)
+	w.buf.Grow(8 * len(vs))
+	b := w.buf.AvailableBuffer()
+	for _, v := range vs {
+		b = binary.BigEndian.AppendUint64(b, v)
+	}
+	w.buf.Write(b)
 }
 
 // Blob appends a u32 length followed by the raw bytes, framing a nested

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,6 +49,42 @@ func TestRoundTripAllFieldTypes(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Errorf("%d bytes left over", r.Len())
+	}
+}
+
+// TestWriterMatchesBinaryWrite pins the wire layout: every Writer field
+// encodes to exactly the bytes encoding/binary.Write produces big-endian,
+// the layout existing checkpoints and the fuzz corpus were written in.
+func TestWriterMatchesBinaryWrite(t *testing.T) {
+	var w Writer
+	w.Header(0x67535543, 0xfedcba9876543210)
+	w.U16(0xbeef)
+	w.U32(7)
+	w.U64(1 << 40)
+	w.I64(-9)
+	w.F64(-3.5)
+	w.I64s([]int64{1, -2, math.MinInt64})
+	w.I64s(nil)
+	w.U64s([]uint64{4, ^uint64(0)})
+	w.Blob([]byte("nested"))
+	w.Blob(nil)
+
+	var ref bytes.Buffer
+	for _, v := range []interface{}{
+		uint32(0x67535543), Version, uint64(0xfedcba9876543210),
+		uint16(0xbeef), uint32(7), uint64(1 << 40), int64(-9), math.Float64bits(-3.5),
+		uint32(3), []int64{1, -2, math.MinInt64},
+		uint32(0),
+		uint32(2), []uint64{4, ^uint64(0)},
+		uint32(6), []byte("nested"),
+		uint32(0),
+	} {
+		if err := binary.Write(&ref, binary.BigEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(w.Bytes(), ref.Bytes()) {
+		t.Fatalf("Writer bytes\n%x\ndiffer from binary.Write\n%x", w.Bytes(), ref.Bytes())
 	}
 }
 

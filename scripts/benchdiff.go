@@ -41,7 +41,7 @@
 // BenchmarkProcessWorkload/zipf).
 //
 // -prefix takes a comma-separated list of gated name prefixes (default
-// "BenchmarkProcess,BenchmarkWindow,BenchmarkOpen,BenchmarkSpecFingerprint,BenchmarkCheckpoint,BenchmarkDaemonIngest,BenchmarkSweep,BenchmarkMetrics,BenchmarkHotpath,BenchmarkGFMulMod");
+// "BenchmarkProcess,BenchmarkWindow,BenchmarkOpen,BenchmarkSpecFingerprint,BenchmarkCheckpoint,BenchmarkDaemonIngest,BenchmarkSweep,BenchmarkMetrics,BenchmarkHotpath,BenchmarkGFMulMod,BenchmarkLayer");
 // results matching none of them are ignored entirely.
 //
 // Refresh the baseline after an intentional performance change (this
@@ -120,7 +120,7 @@ func run() int {
 	current := flag.String("current", "", "path to `go test -bench` output")
 	baselinePath := flag.String("baseline", "", "path to the committed baseline JSON")
 	write := flag.String("write", "", "write a fresh baseline JSON to this path and exit")
-	prefix := flag.String("prefix", "BenchmarkProcess,BenchmarkWindow,BenchmarkOpen,BenchmarkSpecFingerprint,BenchmarkCheckpoint,BenchmarkDaemonIngest,BenchmarkSweep,BenchmarkMetrics,BenchmarkHotpath,BenchmarkGFMulMod",
+	prefix := flag.String("prefix", "BenchmarkProcess,BenchmarkWindow,BenchmarkOpen,BenchmarkSpecFingerprint,BenchmarkCheckpoint,BenchmarkDaemonIngest,BenchmarkSweep,BenchmarkMetrics,BenchmarkHotpath,BenchmarkGFMulMod,BenchmarkLayer",
 		"comma-separated benchmark name prefixes to gate")
 	threshold := flag.Float64("threshold", 2.0, "fail when current > threshold * baseline")
 	flag.Parse()
