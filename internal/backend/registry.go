@@ -125,9 +125,7 @@ func init() {
 				NewShard: func() (hotpath.Shard, error) {
 					return core.NewOnePass(g, s.Options), nil
 				},
-				Merge: func(dst, src hotpath.Shard) error {
-					return dst.(*core.OnePassEstimator).Merge(src.(*core.OnePassEstimator))
-				},
+				Read: shardReader{},
 			})
 		},
 	})
@@ -250,6 +248,26 @@ func init() {
 			return core.NewExact(g), nil
 		},
 	})
+}
+
+// shardReader is the sharded kind's hotpath.Reader: the core per-level
+// fold over its shards, which its factory opens as one-pass estimators.
+type shardReader struct{}
+
+func (shardReader) Estimate(shards []hotpath.Shard) (float64, error) {
+	return core.EstimateMerged(onePassShards(shards))
+}
+
+func (shardReader) Marshal(shards []hotpath.Shard) ([]byte, error) {
+	return core.MarshalMerged(onePassShards(shards))
+}
+
+func onePassShards(shards []hotpath.Shard) []*core.OnePassEstimator {
+	out := make([]*core.OnePassEstimator, len(shards))
+	for i, sh := range shards {
+		out[i] = sh.(*core.OnePassEstimator)
+	}
+	return out
 }
 
 // Process drives a whole in-memory stream through est using its richest

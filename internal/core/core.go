@@ -145,7 +145,8 @@ func (e *OnePassEstimator) Process(s *stream.Stream) {
 	engine.Ingest(e, s.Updates(), 0)
 }
 
-// Estimate returns the g-SUM estimate. Call once, after the stream.
+// Estimate returns the g-SUM estimate of the updates applied so far. It
+// only reads the sketch, so it may be called repeatedly, between updates.
 func (e *OnePassEstimator) Estimate() float64 { return e.sk.Estimate() }
 
 // SpaceBytes reports total counter storage.

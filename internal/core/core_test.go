@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/gfunc"
@@ -10,6 +12,41 @@ import (
 
 func zipfStream(seed uint64) *stream.Stream {
 	return stream.Zipf(stream.GenConfig{N: 1 << 12, M: 1 << 10, Seed: seed}, 400, 1.1)
+}
+
+// TestEstimateBetweenUpdates: Estimate only reads the sketch, so a
+// mid-stream read changes nothing. Ingesting A, reading, ingesting B and
+// reading again gives the estimate and snapshot of a fresh estimator fed
+// A then B, bit for bit.
+func TestEstimateBetweenUpdates(t *testing.T) {
+	for _, g := range []gfunc.Func{gfunc.F2Func(), gfunc.SinLogX2()} {
+		opts := Options{N: 1 << 12, M: 1 << 10, Eps: 0.25, Seed: 3, Lambda: 1.0 / 16}
+		updates := zipfStream(6).Updates()
+		a, b := updates[:len(updates)/2], updates[len(updates)/2:]
+
+		read := NewOnePass(g, opts)
+		read.UpdateBatch(a)
+		read.Estimate()
+		read.UpdateBatch(b)
+		fresh := NewOnePass(g, opts)
+		fresh.UpdateBatch(a)
+		fresh.UpdateBatch(b)
+
+		if got, want := read.Estimate(), fresh.Estimate(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: estimate after a mid-stream read %v != fresh %v", g.Name(), got, want)
+		}
+		gotBlob, err := read.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBlob, err := fresh.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBlob, wantBlob) {
+			t.Errorf("%s: snapshot after a mid-stream read differs from fresh", g.Name())
+		}
+	}
 }
 
 func TestOnePassTractableAccuracy(t *testing.T) {

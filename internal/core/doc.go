@@ -20,5 +20,7 @@
 // Seed discipline: all randomness forks from Options.Seed in fixed
 // construction order; estimators Merge/UnmarshalBinary only against
 // instances built from identical Options including Seed, and the wire
-// fingerprint (serialize.go) digests the resolved Options to check it.
+// fingerprint (serialize.go) digests the resolved Options to check it;
+// OnePassEstimator.Merge, EstimateMerged and MarshalMerged check the
+// same fingerprint in memory.
 package core

@@ -1,13 +1,76 @@
 package core
 
-import "repro/internal/stream"
+import (
+	"fmt"
 
-// Merge folds another one-pass estimator (built with identical Options,
-// including Seed) into e, yielding the estimator state of the union
-// stream. This is the distributed-sketching mode: shard the stream across
-// workers, give every worker the same Options, merge the results.
+	"repro/internal/recursive"
+	"repro/internal/stream"
+)
+
+// Merge folds another one-pass estimator (built with the same g and
+// identical Options, including Seed) into e, yielding the estimator state
+// of the union stream. This is the distributed-sketching mode: shard the
+// stream across workers, give every worker the same Options, merge the
+// results. A Fingerprint mismatch is an error, reported before any
+// counter is touched — the check UnmarshalBinary makes on the wire.
 func (e *OnePassEstimator) Merge(other *OnePassEstimator) error {
+	if err := sameFingerprint(e, other); err != nil {
+		return err
+	}
 	return e.sk.Merge(other.sk)
+}
+
+// sameFingerprint is the equal-configuration check every in-memory
+// merge makes before touching a counter.
+func sameFingerprint(a, b *OnePassEstimator) error {
+	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+		return fmt.Errorf("core: OnePassEstimator merge: fingerprint mismatch %#x vs %#x", fa, fb)
+	}
+	return nil
+}
+
+// EstimateMerged returns the Estimate that merging every estimator, in
+// order, into a fresh one would give, without building that estimator:
+// recursive.FoldEstimate merges one level at a time into a level-sized
+// scratch, with the levels spread over up to GOMAXPROCS goroutines. The
+// estimators are only read. They must share one Fingerprint; a mismatch
+// is an error.
+func EstimateMerged(ests []*OnePassEstimator) (float64, error) {
+	sks, err := foldable(ests)
+	if err != nil {
+		return 0, err
+	}
+	return recursive.FoldEstimate(sks)
+}
+
+// MarshalMerged returns the MarshalBinary bytes of the same merge as
+// EstimateMerged, computed the same way.
+func MarshalMerged(ests []*OnePassEstimator) ([]byte, error) {
+	sks, err := foldable(ests)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := recursive.FoldMarshal(sks)
+	if err != nil {
+		return nil, err
+	}
+	return ests[0].frame(blob), nil
+}
+
+// foldable checks that the estimators share one Fingerprint and returns
+// their recursive sketches.
+func foldable(ests []*OnePassEstimator) ([]*recursive.Sketch, error) {
+	if len(ests) == 0 {
+		return nil, fmt.Errorf("core: merge of no estimators")
+	}
+	sks := make([]*recursive.Sketch, len(ests))
+	for i, e := range ests {
+		if err := sameFingerprint(ests[0], e); err != nil {
+			return nil, err
+		}
+		sks[i] = e.sk
+	}
+	return sks, nil
 }
 
 // ShardAndMerge is a convenience harness (used by tests, benches, and

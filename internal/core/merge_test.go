@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/gfunc"
@@ -48,6 +50,96 @@ func TestMergeRejectsMismatchedConfig(t *testing.T) {
 	b := NewOnePass(g, Options{N: 1 << 10, M: 1 << 8, Seed: 1, Lambda: 1.0 / 16})
 	if err := a.Merge(b); err == nil {
 		t.Error("expected merge rejection for mismatched lambda (different dims)")
+	}
+}
+
+// TestMergeRejectsFingerprintMismatch: an estimator with another Seed,
+// or another g over the same pinned envelope, has the same shape but
+// different hash functions or weights. Merge, EstimateMerged and
+// MarshalMerged refuse it by Fingerprint, as UnmarshalBinary does on the
+// wire, and the receiver's state is left untouched.
+func TestMergeRejectsFingerprintMismatch(t *testing.T) {
+	opts := Options{N: 1 << 12, M: 1 << 10, Seed: 1, Lambda: 1.0 / 8, Envelope: 4}
+	otherSeed := opts
+	otherSeed.Seed = 2
+	s := zipfStream(3)
+	a := NewOnePass(gfunc.F2Func(), opts)
+	a.Process(s)
+	before, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		b    *OnePassEstimator
+	}{
+		{"seed", NewOnePass(gfunc.F2Func(), otherSeed)},
+		{"g", NewOnePass(gfunc.SinLogX2(), opts)},
+	} {
+		name, b := c.name, c.b
+		b.Process(s)
+		if err := a.Merge(b); err == nil {
+			t.Errorf("%s: Merge accepted a fingerprint mismatch", name)
+		}
+		if _, err := EstimateMerged([]*OnePassEstimator{a, b}); err == nil {
+			t.Errorf("%s: EstimateMerged accepted a fingerprint mismatch", name)
+		}
+		if _, err := MarshalMerged([]*OnePassEstimator{a, b}); err == nil {
+			t.Errorf("%s: MarshalMerged accepted a fingerprint mismatch", name)
+		}
+		blob, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: UnmarshalBinary accepted a fingerprint mismatch", name)
+		}
+		after, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("%s: a rejected merge changed the receiver", name)
+		}
+	}
+	if _, err := EstimateMerged(nil); err == nil {
+		t.Error("EstimateMerged of no estimators succeeded")
+	}
+}
+
+// TestMergedReadsMatchMerge: EstimateMerged and MarshalMerged answer
+// exactly as merging the estimators, in order, into a fresh one.
+func TestMergedReadsMatchMerge(t *testing.T) {
+	g := gfunc.F2Func()
+	opts := Options{N: 1 << 12, M: 1 << 10, Eps: 0.25, Seed: 9, Lambda: 1.0 / 16}
+	parts := make([]*OnePassEstimator, 3)
+	for i := range parts {
+		parts[i] = NewOnePass(g, opts)
+		parts[i].Process(zipfStreamShard(5, i, len(parts)))
+	}
+	ref := NewOnePass(g, opts)
+	for _, p := range parts {
+		if err := ref.Merge(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := EstimateMerged(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(est) != math.Float64bits(ref.Estimate()) {
+		t.Errorf("EstimateMerged %v != merged Estimate %v", est, ref.Estimate())
+	}
+	got, err := MarshalMerged(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("MarshalMerged differs from the merged MarshalBinary")
 	}
 }
 

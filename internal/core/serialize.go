@@ -59,14 +59,19 @@ func (e *OnePassEstimator) Fingerprint() uint64 {
 // MarshalBinary serializes the one-pass estimator state: the recursive
 // sketch with every level's Algorithm 2 state.
 func (e *OnePassEstimator) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(onePassEstMagic, e.Fingerprint())
 	blob, err := e.sk.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	w.Blob(blob)
-	return w.Bytes(), nil
+	return e.frame(blob), nil
+}
+
+// frame wraps a recursive sketch blob in the estimator's header.
+func (e *OnePassEstimator) frame(skBlob []byte) []byte {
+	var w wire.Writer
+	w.Header(onePassEstMagic, e.Fingerprint())
+	w.Blob(skBlob)
+	return w.Bytes()
 }
 
 // UnmarshalBinary adds a serialized shard estimator into e (merge

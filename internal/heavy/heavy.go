@@ -61,12 +61,13 @@ func (c Cover) sortByWeight() {
 }
 
 // Sketcher is a one-pass heavy-hitter algorithm: it ingests turnstile
-// updates and finalizes into a cover. The recursive sketch of Theorem 13
+// updates and reads out a cover. The recursive sketch of Theorem 13
 // composes per-level Sketchers into a g-SUM estimator.
 type Sketcher interface {
 	Update(item uint64, delta int64)
-	// Cover finalizes and returns the (g, λ, ε)-cover. It may be called
-	// once; behaviour of further Updates is undefined.
+	// Cover returns the (g, λ, ε)-cover of the updates applied so far.
+	// It only reads the sketch state, so it may be called any number of
+	// times, interleaved with further Updates.
 	Cover() Cover
 	// SpaceBytes reports counter storage, the quantity the space bounds
 	// govern.

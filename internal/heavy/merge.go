@@ -1,6 +1,10 @@
 package heavy
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sketch"
+)
 
 // Merge folds another OnePass instance (same configuration and seed, i.e.
 // identical hash functions) into o. The result is the Algorithm 2 state
@@ -14,4 +18,20 @@ func (o *OnePass) Merge(other *OnePass) error {
 		return fmt.Errorf("heavy: OnePass merge config mismatch")
 	}
 	return o.cs.MergeTopK(other.cs)
+}
+
+// EmptyLike returns an empty OnePass with o's configuration and hash
+// functions, the state a fresh instance from o's seed starts in: merging
+// o's peers into it is exactly merging them into a new instance. The
+// hash functions are shared with o, read-only. A non-nil reuse of o's
+// dimensions lends its counter storage (see sketch.CountSketch.EmptyLike),
+// so one buffer can fold many levels in turn.
+func (o *OnePass) EmptyLike(reuse *OnePass) *OnePass {
+	var buf *sketch.CountSketch
+	if reuse != nil {
+		buf = reuse.cs
+	}
+	out := *o
+	out.cs = o.cs.EmptyLike(buf)
+	return &out
 }

@@ -114,8 +114,9 @@ func (o *OnePass) errorWindow(cands []sketch.Candidate) int64 {
 	return int64(w)
 }
 
-// Cover finalizes: extracts candidates, prunes unstable ones, and returns
-// the surviving (item, v̂, g(|v̂|)) entries.
+// Cover extracts candidates, prunes unstable ones, and returns the
+// surviving (item, v̂, g(|v̂|)) entries. It leaves the sketch state as it
+// found it.
 func (o *OnePass) Cover() Cover {
 	return o.CoverFor(o.g)
 }

@@ -31,8 +31,14 @@
 //     into the shard sketch — and joins before returning, so no
 //     goroutine outlives the call. Update/UpdateBatch route
 //     synchronously (the daemon applies under its state lock, where
-//     concurrency would buy nothing), and Estimate/MarshalBinary fold
-//     the shards into a fresh estimator, leaving the shards untouched.
+//     concurrency would buy nothing), and Estimate/MarshalBinary read
+//     the shards as their merge through Config.Read, leaving the shards
+//     untouched. backend supplies core.EstimateMerged and
+//     core.MarshalMerged, which hold no whole-estimator merge target:
+//     each subsampling level is merged on its own into a level-sized
+//     scratch, with the levels spread over up to GOMAXPROCS goroutines
+//     (recursive.FoldEstimate, recursive.FoldMarshal), and the result
+//     is bit-identical to merging the shards into a fresh estimator.
 //
 // Layer: between engine (chunking, worker resolution) and backend (the
 // registry opens the shards and registers the "sharded" kind). This

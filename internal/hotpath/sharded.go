@@ -42,10 +42,20 @@ type Config struct {
 	// that is the seed discipline the bit-identity contract rests on,
 	// and backend.Open from one normalized Spec provides it.
 	NewShard func() (Shard, error)
-	// Merge folds src into dst in memory. Optional: when nil, merging
-	// goes through MarshalBinary/UnmarshalBinary (the wire format's
-	// merge-on-decode semantics), which is correct but slower.
-	Merge func(dst, src Shard) error
+	// Read answers Estimate and MarshalBinary from the shards. Required.
+	Read Reader
+}
+
+// Reader reads the shards as the one estimator their merge would be,
+// without mutating them. Both methods receive every shard, in shard
+// order, and must answer exactly as merging the shards in that order
+// into a fresh estimator from NewShard and reading it would. backend's
+// implementation folds one subsampling level at a time
+// (core.EstimateMerged, core.MarshalMerged) and never builds that
+// estimator.
+type Reader interface {
+	Estimate(shards []Shard) (float64, error)
+	Marshal(shards []Shard) ([]byte, error)
 }
 
 // Stats is a snapshot of the ring-layer counters, summed over the shard
@@ -70,11 +80,11 @@ type Stats struct {
 // ShardedEstimator owns P identically-configured shard estimators and
 // routes every update to shard hash(item) mod P. Process ingests
 // concurrently through per-shard rings; Update/UpdateBatch route
-// synchronously. Estimate and MarshalBinary fold the shards into a
-// fresh estimator built by the same factory, so they are repeatable and
-// leave the shards untouched, and the marshaled snapshot is the SAME
-// wire format as a single shard's — a sharded worker interoperates with
-// serial peers on the wire.
+// synchronously. Estimate and MarshalBinary read the shards as their
+// merge through Config.Read, level by level and without a merge target,
+// so they are repeatable and leave the shards untouched, and the
+// marshaled snapshot is the SAME wire format as a single shard's — a
+// sharded worker interoperates with serial peers on the wire.
 //
 // Like every estimator in the repository, a ShardedEstimator is not
 // goroutine-safe from the caller's side: Process parallelizes
@@ -83,8 +93,7 @@ type Stats struct {
 // concurrently with Process.
 type ShardedEstimator struct {
 	shards    []Shard
-	newShard  func() (Shard, error)
-	merge     func(dst, src Shard) error
+	read      Reader
 	ringDepth int
 	batchSize int
 
@@ -110,6 +119,9 @@ func New(cfg Config) (*ShardedEstimator, error) {
 	if cfg.NewShard == nil {
 		return nil, fmt.Errorf("hotpath: Config.NewShard is required")
 	}
+	if cfg.Read == nil {
+		return nil, fmt.Errorf("hotpath: Config.Read is required")
+	}
 	p := engine.Workers(cfg.Shards)
 	depth := cfg.RingDepth
 	if depth <= 0 {
@@ -121,8 +133,7 @@ func New(cfg Config) (*ShardedEstimator, error) {
 	}
 	se := &ShardedEstimator{
 		shards:    make([]Shard, p),
-		newShard:  cfg.NewShard,
-		merge:     cfg.Merge,
+		read:      cfg.Read,
 		ringDepth: depth,
 		batchSize: bs,
 		route:     make([][]stream.Update, p),
@@ -281,43 +292,19 @@ func (se *ShardedEstimator) Stats() Stats {
 	return st
 }
 
-// merged folds every shard into a fresh estimator from the factory.
-// The shards are never mutated, so merged is repeatable: calling
-// Estimate between Process calls always reflects exactly the updates
-// applied so far.
-func (se *ShardedEstimator) merged() (Shard, error) {
-	dst, err := se.newShard()
-	if err != nil {
-		return nil, fmt.Errorf("hotpath: merge target: %w", err)
-	}
-	for i, sh := range se.shards {
-		if se.merge != nil {
-			err = se.merge(dst, sh)
-		} else {
-			var blob []byte
-			if blob, err = sh.MarshalBinary(); err == nil {
-				err = dst.UnmarshalBinary(blob)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hotpath: merge shard %d: %w", i, err)
-		}
-	}
-	return dst, nil
-}
-
-// Estimate merges the shards and answers from the union state — by
-// linearity, exactly the serial estimator's answer over the same
-// updates. Shards are identically configured by the NewShard contract,
-// so the merge cannot fail except for a broken factory; that is a
-// programming error and panics rather than returning a silent garbage
-// estimate.
+// Estimate answers from the union state of the shards (Config.Read) —
+// by linearity, the serial estimator's answer over the same updates.
+// The shards are never mutated, so Estimate is repeatable and, between
+// Process calls, reflects exactly the updates applied so far. Shards are
+// identically configured by the NewShard contract, so the read cannot
+// fail except for a broken factory; that is a programming error and
+// panics rather than returning a silent garbage estimate.
 func (se *ShardedEstimator) Estimate() float64 {
-	m, err := se.merged()
+	v, err := se.read.Estimate(se.shards)
 	if err != nil {
 		panic("hotpath: Estimate: " + err.Error())
 	}
-	return m.Estimate()
+	return v
 }
 
 // SpaceBytes reports the total sketch state across shards.
@@ -340,11 +327,7 @@ func (se *ShardedEstimator) Fingerprint() uint64 {
 // format: a sharded worker's snapshot decodes anywhere a serial one
 // does.
 func (se *ShardedEstimator) MarshalBinary() ([]byte, error) {
-	m, err := se.merged()
-	if err != nil {
-		return nil, err
-	}
-	return m.MarshalBinary()
+	return se.read.Marshal(se.shards)
 }
 
 // UnmarshalBinary folds a snapshot INTO the estimator (merge

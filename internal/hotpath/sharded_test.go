@@ -11,6 +11,7 @@ package hotpath_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/backend"
@@ -148,9 +149,8 @@ func TestShardedUnmarshalMerges(t *testing.T) {
 	}
 }
 
-// TestShardedEstimateIsRepeatable: Estimate merges into a FRESH target
-// every call, so calling it twice (or marshaling in between) cannot
-// double-count the shards.
+// TestShardedEstimateIsRepeatable: Estimate only reads the shards, so
+// calling it twice (or marshaling in between) cannot double-count them.
 func TestShardedEstimateIsRepeatable(t *testing.T) {
 	e, err := backend.Open(shardedTestSpec(4))
 	if err != nil {
@@ -172,18 +172,11 @@ func TestShardedEstimateIsRepeatable(t *testing.T) {
 // TestShardedStats: the ring counters account for exactly the stream
 // that went through Process, and the rings quiesce empty.
 func TestShardedStats(t *testing.T) {
-	se, err := hotpath.New(hotpath.Config{
-		Shards: 4,
-		NewShard: func() (hotpath.Shard, error) {
-			return backend.Open(backend.Spec{
-				Kind: backend.KindOnePass, G: "x^2",
-				Options: core.Options{N: shardedTestCfg.N, M: 1 << 10, Eps: 0.25, Seed: 21, Lambda: 1.0 / 16},
-			})
-		},
-	})
+	est, err := backend.Open(shardedTestSpec(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	se := est.(*hotpath.ShardedEstimator)
 	s := workload.Zipf{Alpha: 1.1}.Generate(shardedTestCfg)
 	if err := se.Process(s.Updates()); err != nil {
 		t.Fatal(err)
@@ -206,10 +199,24 @@ func TestShardedStats(t *testing.T) {
 	}
 }
 
-// TestShardedConfigErrors: the factory is required, and a failing
-// factory surfaces instead of panicking later.
+// nopReader is a Reader that never runs: New fails before any read.
+type nopReader struct{}
+
+func (nopReader) Estimate([]hotpath.Shard) (float64, error) { return 0, nil }
+func (nopReader) Marshal([]hotpath.Shard) ([]byte, error)   { return nil, nil }
+
+// TestShardedConfigErrors: the factory and the reader are required, and
+// a failing factory surfaces instead of panicking later.
 func TestShardedConfigErrors(t *testing.T) {
 	if _, err := hotpath.New(hotpath.Config{}); err == nil {
 		t.Fatal("New without a factory succeeded")
+	}
+	open := func() (hotpath.Shard, error) { return backend.Open(shardedTestSpec(1)) }
+	if _, err := hotpath.New(hotpath.Config{NewShard: open}); err == nil {
+		t.Fatal("New without Config.Read succeeded")
+	}
+	broken := func() (hotpath.Shard, error) { return nil, errors.New("broken factory") }
+	if _, err := hotpath.New(hotpath.Config{NewShard: broken, Read: nopReader{}}); err == nil {
+		t.Fatal("New with a failing factory succeeded")
 	}
 }

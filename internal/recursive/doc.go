@@ -26,5 +26,8 @@
 // Seed discipline: per level the subsample hash forks before the
 // level's sketcher (construction order is part of the contract);
 // Merge/UnmarshalBinary require same-seed instances and the composite
-// wire fingerprint folds every level's fingerprint.
+// wire fingerprint folds every level's fingerprint; Merge, FoldEstimate
+// and FoldMarshal check it in memory too. FoldEstimate and FoldMarshal
+// read several sketches as their merge one level at a time, on up to
+// GOMAXPROCS goroutines, without building the merged sketch.
 package recursive

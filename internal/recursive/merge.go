@@ -15,12 +15,11 @@ type Merger interface {
 // Merge folds another recursive sketch (same configuration and seed) into
 // s, level by level. Both sketches must have been built by New with
 // identical Config and rng seed so that the subsampling hashes and
-// per-level sketcher hashes coincide; level counts are verified, hash
-// equality is the caller's contract (as with sketch.CountSketch.Merge).
+// per-level sketcher hashes coincide; the Fingerprints, which digest
+// both, must be equal, and this is checked before any level is merged.
 func (s *Sketch) Merge(other *Sketch) error {
-	if len(s.levels) != len(other.levels) {
-		return fmt.Errorf("recursive: level count mismatch %d vs %d",
-			len(s.levels), len(other.levels))
+	if fa, fb := s.Fingerprint(), other.Fingerprint(); fa != fb {
+		return fmt.Errorf("recursive: merge fingerprint mismatch %#x vs %#x", fa, fb)
 	}
 	for k := range s.levels {
 		a, okA := s.levels[k].(*heavy.OnePass)

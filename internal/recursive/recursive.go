@@ -80,14 +80,19 @@ func (s *Sketch) member(item uint64, k int) bool {
 }
 
 // Estimate assembles the bottom-up estimator from the per-level covers.
-// It finalizes the level sketchers, so it must be called once, after the
-// stream has been fully consumed.
+// Reading a cover leaves the level state untouched, so Estimate may be
+// called any number of times, between updates as well as after the
+// stream: each call answers for exactly the updates applied so far.
 func (s *Sketch) Estimate() float64 {
-	l := len(s.levels) - 1
-	covers := make([]heavy.Cover, l+1)
-	for k := 0; k <= l; k++ {
-		covers[k] = s.levels[k].Cover()
+	covers := make([]heavy.Cover, len(s.levels))
+	for k, lv := range s.levels {
+		covers[k] = lv.Cover()
 	}
+	return s.combine(covers)
+}
+
+// combine is CombineCovers with s's subsampling hashes.
+func (s *Sketch) combine(covers []heavy.Cover) float64 {
 	return CombineCovers(covers, func(level int, item uint64) bool {
 		return s.sub[level].Hash(item)
 	})

@@ -61,11 +61,15 @@ func (s *Sketch) Fingerprint() uint64 {
 // sketchers must implement encoding.BinaryMarshaler (heavy.OnePass
 // does).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(sketchMagic, s.Fingerprint())
-	w.U32(uint32(len(s.levels)))
-	for k, lv := range s.levels {
-		m, ok := lv.(encoding.BinaryMarshaler)
+	return marshalLevels(sketchMagic, s.Fingerprint(), s.levels)
+}
+
+// marshalLevels serializes every level and frames the blobs
+// (frameLevels).
+func marshalLevels[S any](magic uint32, fp uint64, levels []S) ([]byte, error) {
+	blobs := make([][]byte, len(levels))
+	for k, lv := range levels {
+		m, ok := any(lv).(encoding.BinaryMarshaler)
 		if !ok {
 			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, lv)
 		}
@@ -73,9 +77,9 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
 		}
-		w.Blob(blob)
+		blobs[k] = blob
 	}
-	return w.Bytes(), nil
+	return frameLevels(magic, fp, blobs), nil
 }
 
 // UnmarshalBinary adds serialized shard state into s, level by level
@@ -114,21 +118,7 @@ func (s *TwoPass) Fingerprint() uint64 {
 // counters, candidates, tabulations). All level sketchers must
 // implement encoding.BinaryMarshaler (heavy.TwoPass does).
 func (s *TwoPass) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Header(twoPassMagic, s.Fingerprint())
-	w.U32(uint32(len(s.levels)))
-	for k, lv := range s.levels {
-		m, ok := lv.(encoding.BinaryMarshaler)
-		if !ok {
-			return nil, fmt.Errorf("recursive: level %d sketcher %T does not support serialization", k, lv)
-		}
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("recursive: level %d: %w", k, err)
-		}
-		w.Blob(blob)
-	}
-	return w.Bytes(), nil
+	return marshalLevels(twoPassMagic, s.Fingerprint(), s.levels)
 }
 
 // UnmarshalBinary adds serialized two-pass shard state into s, level by

@@ -264,6 +264,42 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	return nil
 }
 
+// EmptyLike returns an empty sketch with cs's hash functions: zeroed
+// counters and, when cs tracks candidates, an empty tracker of the same
+// capacity. The hash functions are shared with cs and only read, so the
+// result fingerprints as cs does and merges with cs's peers. When reuse
+// is non-nil and has cs's dimensions, its counter storage is cleared and
+// reused, and reuse itself is returned; folding many same-shaped sketches
+// then costs one buffer, not one per sketch. Either way the result
+// behaves exactly as a freshly constructed sketch from cs's seed.
+func (cs *CountSketch) EmptyLike(reuse *CountSketch) *CountSketch {
+	out := reuse
+	if out == nil || out.rows != cs.rows || out.buckets != cs.buckets {
+		out = &CountSketch{
+			flat:    make([]int64, len(cs.flat)),
+			counts:  make([][]int64, cs.rows),
+			scratch: make([]int64, cs.rows),
+		}
+		b := cs.buckets
+		for j := range out.counts {
+			out.counts[j] = out.flat[uint64(j)*b : uint64(j+1)*b : uint64(j+1)*b]
+		}
+	} else {
+		clear(out.flat)
+	}
+	out.rows, out.buckets = cs.rows, cs.buckets
+	out.bucket, out.sign, out.coef = cs.bucket, cs.sign, cs.coef
+	switch {
+	case cs.topK == nil:
+		out.topK = nil
+	case out.topK != nil && out.topK.k == cs.topK.k:
+		out.topK.reset()
+	default:
+		out.topK = newTopTracker(cs.topK.k)
+	}
+	return out
+}
+
 // topTracker keeps the k items with the largest |estimate| offered so far.
 // It is a small indexed min-heap keyed by |estimate|. Scores live inside
 // the heap entries — not in a side map — so sift comparisons are array
@@ -285,6 +321,12 @@ func newTopTracker(k int) *topTracker {
 		k:   k,
 		pos: make(map[uint64]int, k+1),
 	}
+}
+
+// reset empties the tracker, keeping its storage.
+func (t *topTracker) reset() {
+	t.heap = t.heap[:0]
+	clear(t.pos)
 }
 
 func (t *topTracker) offer(item uint64, est int64) {

@@ -159,3 +159,42 @@ func TestMergeTopKUnionCandidates(t *testing.T) {
 		t.Errorf("union-heavy item has estimate %d, want ~90000", found[3])
 	}
 }
+
+// TestEmptyLikeActsFresh: an EmptyLike sketch, new or reusing a dirty
+// buffer, merges a peer into exactly the state a freshly constructed
+// sketch from the same seed reaches, tracker included.
+func TestEmptyLikeActsFresh(t *testing.T) {
+	mk := func() *CountSketch { return NewCountSketchTopK(5, 1024, 4, util.NewSplitMix64(11)) }
+	peer := mk()
+	for i := uint64(0); i < 12; i++ {
+		peer.Update(i, int64(100*(i+1)))
+	}
+	fresh := mk()
+	if err := fresh.MergeTopK(peer); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := NewCountSketchTopK(5, 1024, 4, util.NewSplitMix64(99))
+	for i := uint64(50); i < 60; i++ {
+		dirty.Update(i, 7)
+	}
+	for _, reuse := range []*CountSketch{nil, dirty} {
+		e := peer.EmptyLike(reuse)
+		if e.Fingerprint() != peer.Fingerprint() {
+			t.Fatal("EmptyLike changed the fingerprint")
+		}
+		if err := e.MergeTopK(peer); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("reuse=%v: EmptyLike+MergeTopK differs from a fresh sketch", reuse != nil)
+		}
+	}
+}
